@@ -7,7 +7,7 @@ Subcommands:
                            (multiple files route through the batch
                            service).
 * ``batch FILE...``     -- the batch front door: many programs through
-                           the job scheduler, process-pool workers and
+                           the job scheduler, a supervised worker pool and
                            the persistent result cache
                            (``--suite`` runs the 17-benchmark suite).
 * ``precondition FILE`` -- backward analysis: the necessary
@@ -647,7 +647,9 @@ def main(argv=None) -> int:
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: cpu count; 1 = inline)")
     p.add_argument("--timeout", type=float, default=None,
-                   help="per-job wall-clock timeout in seconds")
+                   help="per-job deadline in seconds, from dispatch: "
+                        "caps the time budget (degraded answer); a job "
+                        "that ignores it is killed and reported timeout")
     p.add_argument("--no-cache", action="store_true",
                    help="skip the persistent result cache")
     p.add_argument("--cache-dir", default=None,

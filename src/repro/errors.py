@@ -18,8 +18,10 @@ those failure modes are named:
 * :class:`CacheCorrupt` -- a persistent cache entry failed validation
   (unparsable JSON, schema/version mismatch).  The cache evicts the
   entry and treats the lookup as a miss.
-* :class:`WorkerDied` -- a batch worker process exited without
+* :class:`WorkerDied` -- a pool worker process exited without
   reporting a result (segfault, OOM-kill, injected fault).
+* :class:`JobRaised` -- a job raised inside a pool worker on every
+  attempt; the worker itself stayed healthy.
 * :class:`IntegrityError` -- the paranoid-mode DBM sentinel
   (:mod:`repro.core.sentinel`) found a structural invariant violated:
   incoherent matrix, stale closed flag, wrong ``nni``, or an invalid
@@ -84,12 +86,20 @@ class CacheCorrupt(ReproError):
 
 
 class WorkerDied(ReproError):
-    """A batch worker exited without reporting (crash, kill, OOM)."""
+    """A pool worker exited without reporting (crash, kill, OOM)."""
 
     def __init__(self, exit_code: Optional[int], *,
                  stage: str = "before reporting"):
         super().__init__(f"worker died {stage} (exit code {exit_code})")
         self.exit_code = exit_code
+
+
+class JobRaised(ReproError):
+    """A job raised in a pool worker; ``traceback`` is the worker's."""
+
+    def __init__(self, traceback: str):
+        super().__init__(f"job raised in worker:\n{traceback}")
+        self.traceback = traceback
 
 
 class IntegrityError(ReproError):
@@ -106,6 +116,7 @@ __all__ = [
     "BudgetExceeded",
     "CacheCorrupt",
     "IntegrityError",
+    "JobRaised",
     "ReproError",
     "WorkerDied",
 ]

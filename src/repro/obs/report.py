@@ -188,7 +188,7 @@ def histogram_rows(histograms: Dict[str, Dict]) -> List[List[object]]:
 
 
 #: Worker-lifecycle and per-request events that reconstruct pool
-#: history from a ``--log-json`` artifact of a serve run.
+#: history from a ``--log-json`` artifact of a serve or pooled batch run.
 _SERVE_EVENTS = (
     "serve_pool_started", "serve_pool_stopped", "serve_worker_died",
     "serve_worker_killed", "serve_worker_respawned", "serve_breaker_open",
@@ -201,15 +201,17 @@ def server_section(records: Sequence[Dict],
     """Render the server portion of a report, if the artifacts carry
     one: serve counters, per-command latency percentiles, and the pool
     lifecycle history (deaths, kills, respawns, breaker transitions)
-    reconstructed from the structured event log."""
+    reconstructed from the structured event log.  A batch run carries
+    only the pool history, under its own heading."""
     counters = summary.get("counters") or {}
     histograms = summary.get("histograms") or {}
     latency = {key: raw for key, raw in histograms.items()
                if str(raw.get("name")) == "serve_request_seconds"}
     lifecycle = [r for r in records if r.get("event") in _SERVE_EVENTS]
-    if not (counters.get("serve_requests") or latency or lifecycle):
+    served = counters.get("serve_requests") or latency
+    if not (served or lifecycle):
         return []
-    lines: List[str] = ["Server:"]
+    lines: List[str] = ["Server:" if served else "Worker pool:"]
     facts = [[key, counters[key]] for key in (
         "serve_requests", "serve_errors", "serve_connections",
         "serve_pool_jobs", "serve_pool_inline", "worker_restarts",

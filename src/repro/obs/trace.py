@@ -16,13 +16,14 @@ Design constraints, in order:
    engine's per-edge transfer calls) check :func:`enabled` once at
    setup and install instrumented closures only when tracing is on.
    ``benchmarks/bench_obs_overhead.py`` gates this at < 2% end to end.
-2. **Cross-process.**  Batch jobs run in forked worker processes.  A
-   worker opens a fresh :func:`session` around its job (so it never
+2. **Cross-process.**  Batch jobs run in forked pool worker processes.
+   A worker opens a fresh :func:`session` around each job (so it never
    re-ships events inherited from the parent's buffer), returns its
-   span events with the :class:`~repro.service.job.JobResult`, and the
-   scheduler *re-parents* them: each job gets a synthetic thread lane
-   in the parent trace, the job span is emitted on that lane, and the
-   worker's events are rewritten onto it (:func:`adopt`).  Timestamps
+   span events with the :class:`~repro.service.job.JobResult`, and
+   :func:`~repro.service.scheduler.run_batch` *re-parents* them: each
+   job gets a synthetic thread lane in the parent trace, the job span
+   is emitted on that lane, and the worker's events are rewritten onto
+   it (:func:`adopt`).  Timestamps
    are ``time.perf_counter`` -- CLOCK_MONOTONIC on Linux, one epoch
    per boot, so parent and child clocks agree under ``fork``.
 3. **Plain data.**  Events are dicts in the Chrome trace-event schema
@@ -233,9 +234,9 @@ class session:
     Used by :func:`repro.service.job.execute_job` in worker processes:
     under ``fork`` the child inherits the parent's event buffer, so a
     job must swap in an empty one to ship only its own spans.  Works
-    inline too -- the scheduler removes the job's events from the
-    global buffer here and re-adds them onto the job's lane, so inline
-    and forked jobs take the identical re-parenting path.
+    inline too -- the batch removes the job's events from the global
+    buffer here and re-adds them onto the job's lane, so inline and
+    pooled jobs take the identical re-parenting path.
     """
 
     def __init__(self) -> None:
@@ -276,7 +277,7 @@ def adopt(worker_events: List[dict], lane: int) -> int:
     """Re-parent a worker's span events onto a lane of this process.
 
     Rewrites ``pid``/``tid`` so the worker's spans nest under the job
-    span the scheduler emitted on ``lane``; metadata events from the
+    span the batch emitted on ``lane``; metadata events from the
     worker are dropped (the lane already has its name).  Returns the
     number of events adopted.
     """
@@ -301,8 +302,8 @@ def adopt_into_current(worker_events: List[dict],
                        trace_id: Optional[str] = None) -> int:
     """Re-parent a worker's span events onto the *calling thread's* lane.
 
-    The serve path's analogue of :func:`adopt`: where the batch
-    scheduler gives each job a synthetic lane, a serve request wants
+    The serve path's analogue of :func:`adopt`: where a batch gives
+    each job a synthetic lane, a serve request wants
     the worker's spans nested under the ``serve_request`` span that is
     still open on this very thread -- so the events are rewritten to
     this pid and this thread's lane.  Timestamps are shared-epoch

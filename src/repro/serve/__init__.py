@@ -16,9 +16,10 @@ for procedures that actually changed.
 * :mod:`repro.serve.server` -- :class:`AnalysisServer`: accept loop,
   request handlers, budgets/degradation pass-through, SLO counters and
   Prometheus export.
-* :mod:`repro.serve.supervisor` -- :class:`WorkerSupervisor`: the
-  supervised pool of worker processes behind ``--pool``, with
-  heartbeats, deadline kills, respawn backoff and a circuit breaker.
+* :class:`~repro.service.pool.WorkerSupervisor` (re-exported here) --
+  the supervised pool of worker processes behind ``--pool``, with
+  heartbeats, deadline kills, respawn backoff and a circuit breaker;
+  the batch service runs on the same pool.
 * :mod:`repro.serve.client` -- :class:`ServeClient`, the thin client
   behind ``python -m repro client`` and the tests.
 """
@@ -27,7 +28,7 @@ from .client import ServeClient, ServeError, wait_ready
 from .incremental import IncrementalAnalyzer
 from .protocol import MAX_MESSAGE, ProtocolError, recv_message, send_message
 from .server import AnalysisServer, default_socket_path, run_server
-from .supervisor import WorkerSupervisor
+from ..service.pool import WorkerSupervisor
 
 __all__ = [
     "AnalysisServer",

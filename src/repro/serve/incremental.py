@@ -40,14 +40,12 @@ digest, so a repeated identical submission skips the parser too.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import stats
-from ..core.budget import clamp_to_deadline
 from ..frontend.ast_nodes import Program
 from ..frontend.parser import parse_program
 from ..obs import metrics, trace
@@ -159,9 +157,9 @@ class IncrementalAnalyzer:
         #: ``(result, external)`` where ``external`` marks a result
         #: computed out-of-process (its counters are not in this
         #: thread's stats collector).  ``None`` runs
-        #: :func:`execute_job` inline -- PR 7 behavior; the serve
-        #: supervisor's :meth:`~repro.serve.supervisor.WorkerSupervisor
-        #: .execute` is the pooled strategy.
+        #: :func:`execute_job` inline -- PR 7 behavior; the worker
+        #: pool's :meth:`~repro.service.pool.WorkerSupervisor.execute`
+        #: is the pooled strategy.
         self.executor = executor
         self.cache = cache
         self._results = _LRU(lru_procedures, weigh=_result_weight)
@@ -220,10 +218,7 @@ class IncrementalAnalyzer:
         if self.executor is not None:
             result, external = self.executor(job, deadline)
         else:
-            if deadline is not None:
-                job = dataclasses.replace(
-                    job, time_budget=clamp_to_deadline(job.time_budget,
-                                                       deadline))
+            job = job.with_deadline(deadline)
             with trace.span("compute", procedure=job.label):
                 result = execute_job(job)
             external = False

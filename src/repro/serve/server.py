@@ -19,7 +19,7 @@ client that sends half a frame and stalls is disconnected instead of
 pinning a handler slot forever.
 
 With ``pool > 0`` the compute tier runs on a supervised pool of worker
-processes (:mod:`repro.serve.supervisor`): crashes and wedges cost a
+processes (:mod:`repro.service.pool`): crashes and wedges cost a
 respawn, not the daemon; requests carry a client-supplied or
 server-default deadline that clamps each procedure's time budget.
 
@@ -48,7 +48,7 @@ except ImportError:  # pragma: no cover -- non-POSIX platform
 from .. import __version__
 from ..core import kernels
 from ..core.serialize import job_result_to_dict
-from ..errors import AnalysisInterrupted, WorkerDied
+from ..errors import AnalysisInterrupted, JobRaised, WorkerDied
 from ..frontend.parser import ParseError
 from ..obs import events, metrics, trace
 from ..service import transport
@@ -60,7 +60,7 @@ from .protocol import (
     ERROR_CAUSES, PROTOCOL_VERSION, ProtocolError, error_response,
     recv_message, send_message,
 )
-from .supervisor import WorkerSupervisor
+from ..service.pool import WorkerSupervisor
 
 metrics.REGISTRY.counter("serve_requests", "Requests the server handled")
 metrics.REGISTRY.counter("serve_errors",
@@ -560,6 +560,10 @@ class AnalysisServer:
         except WorkerDied as exc:
             return error_response(f"analysis worker died: {exc}",
                                   code="worker_died")
+        except JobRaised as exc:
+            # The analysis itself failed; the worker that ran it is fine.
+            return error_response(f"analysis raised: {exc}",
+                                  code="internal")
         wall = time.perf_counter() - start
         with self._lock:
             self._analyze_ewma = (wall if self._analyze_ewma is None

@@ -11,10 +11,16 @@ runs.  This subsystem is that batch layer:
   (source + domain + options) with a content-addressed key, and a
   structured, picklable :class:`JobResult` carrying verdicts, exit
   boxes, timings and the hot-path memory counters.
-* :mod:`repro.service.scheduler` -- :func:`run_batch`: a work queue
-  feeding one-process-per-job workers with bounded concurrency,
-  per-job wall-clock timeouts, bounded retries for transient worker
-  death, and an inline (no-fork) mode at ``workers=1``.
+* :mod:`repro.service.scheduler` -- :func:`run_batch`: cache and
+  journal around the worker pool, per-job deadlines counted from
+  dispatch, bounded retries for transient failures, and an inline
+  (no-fork) mode at ``workers=1``.
+* :mod:`repro.service.pool` -- :class:`WorkerSupervisor`: the one
+  supervised pool of long-lived worker processes, shared by batch and
+  the analysis daemon (heartbeats, deadline kills, respawn backoff,
+  circuit breaker).
+* :mod:`repro.service.transport` -- the pool's pipe format: protocol-5
+  pickles with a shared-memory lane for large results.
 * :mod:`repro.service.cache` -- :class:`ResultCache`: a
   content-addressed JSON-on-disk store, version-stamped so stale
   entries self-invalidate.

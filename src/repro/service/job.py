@@ -8,8 +8,8 @@ regardless of option ordering or tuple-vs-list spelling -- the property
 the persistent result cache relies on.
 
 A :class:`JobResult` is deliberately dumb data: strings, floats, bools,
-lists and dicts only.  It crosses process boundaries by pickling (the
-scheduler's workers ship it back over a pipe) and round-trips through
+lists and dicts only.  It crosses process boundaries by pickling (pool
+workers ship it back over a pipe) and round-trips through
 JSON (:func:`repro.core.serialize.job_result_to_dict`), which is the
 single schema shared by cache entries and ``--json`` output.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 OUTCOME_OK = "ok"
@@ -137,6 +137,16 @@ class AnalysisJob:
                                  else float(self.sparse_threshold)),
         }
 
+    def with_deadline(self, deadline: Optional[float]) -> "AnalysisJob":
+        """This job with its time budget clamped to a monotonic
+        ``deadline`` (:func:`~repro.core.budget.clamp_to_deadline`)."""
+        from ..core.budget import clamp_to_deadline
+
+        if deadline is None:
+            return self
+        return replace(self, time_budget=clamp_to_deadline(self.time_budget,
+                                                           deadline))
+
     def key(self) -> str:
         """Content-addressed identity: SHA-256 of source + options."""
         payload = json.dumps({"source": self.source, "options": self.options()},
@@ -173,7 +183,8 @@ class JobResult:
 
     ``outcome`` is the failure taxonomy: ``ok`` (analysis completed --
     which says nothing about whether its assertions were *proved*),
-    ``timeout`` (the scheduler killed the worker at the deadline) or
+    ``degraded`` (a budget ran out; the answer is sound but coarser),
+    ``timeout`` (the worker ignored its deadline and was killed) or
     ``error`` (the analysis raised, or the worker died, beyond the
     retry budget).  ``cached`` marks results served from the persistent
     cache and is excluded from equality so a cache hit compares equal
@@ -218,7 +229,7 @@ class JobResult:
     #: excluded from equality).
     resumed: bool = field(default=False, compare=False)
     #: Chrome trace events recorded in the executing process.  Ships
-    #: over the worker pipe (pickle) so the scheduler can re-parent the
+    #: over the worker pipe (pickle) so the submitter can re-parent the
     #: spans onto the job's lane; deliberately *not* part of the JSON
     #: schema or equality -- telemetry is not part of the result.
     trace_events: List[dict] = field(default_factory=list, compare=False)
@@ -266,8 +277,8 @@ def _bound(value: float) -> Optional[float]:
 def execute_job(job: AnalysisJob) -> JobResult:
     """Run one job to completion in the current process.
 
-    This is the scheduler's default worker; exceptions propagate so the
-    scheduler can apply its retry/error policy.  A fresh stats
+    This is the worker pool's default job runner; exceptions propagate
+    so the pool can apply its retry/error policy.  A fresh stats
     collector scopes the hot-path memory counters to this job.
     """
     from contextlib import nullcontext
@@ -297,7 +308,7 @@ def execute_job(job: AnalysisJob) -> JobResult:
     # inherits the parent's buffer, so without the swap a job would ship
     # every event the parent had recorded before the fork.  The same
     # path runs inline (workers=1), where the session keeps the job's
-    # events out of the global buffer for the scheduler to re-parent.
+    # events out of the global buffer for the batch to re-parent.
     session = (trace.session()
                if trace.enabled() or "trace" in job.telemetry
                else None)

@@ -1,49 +1,46 @@
-"""Work queue + process workers with timeouts, retries and a cache.
+"""Batch execution: cache and journal around a supervised worker pool.
 
 :func:`run_batch` is the service's execution engine.  Design points:
 
-* **One process per job, bounded concurrency.**  Jobs are short
-  analyses; recycling long-lived pool workers would save fork cost but
-  make per-job wall-clock timeouts messy (killing a pool worker kills
-  its queue).  A dedicated process per job means a timeout is just
-  ``terminate()`` -- sibling jobs never notice, which is the graceful
-  degradation the paper-style batch needs when one benchmark is
-  pathological.  At most ``workers`` processes run at once.
-* **Failure taxonomy.**  A job that exceeds ``timeout`` seconds is
-  killed and reported ``outcome="timeout"`` (not retried: the same
-  input would time out again).  A worker that raises, or dies without
-  reporting (segfault, OOM-kill), is retried up to ``retries`` times
-  and then reported ``outcome="error"`` with the traceback or exit
-  code.  The batch itself always completes with one result per job, in
-  input order.
+* **One pool.**  With ``workers > 1`` every job runs on a
+  :class:`~repro.service.pool.WorkerSupervisor` built for the batch --
+  the same supervised pool the analysis daemon uses, so batch jobs get
+  its heartbeats, deadline kills, respawn backoff, shared-memory sweeps
+  and trace propagation.  The batch process never computes a job
+  itself: a worker that dies only costs a respawn.
+* **Failure taxonomy.**  ``timeout`` is a per-attempt limit whose clock
+  starts when a worker takes the job.  It clamps the job's time budget,
+  so an analysis that honours its budget answers ``degraded`` (sound)
+  in time; one that ignores it is killed at the deadline plus the
+  pool's grace and reported ``outcome="timeout"`` (not retried: the
+  same input would time out again).  A job that raises, or whose worker
+  dies (segfault, OOM-kill), is retried up to ``retries`` times and
+  then reported ``outcome="error"`` with the traceback or exit code.
+  The batch itself always completes with one result per job, in input
+  order.
 * **Inline mode.**  ``workers=1`` runs every job in the calling
   process -- no fork, deterministic output ordering, breakpoints work.
-  Timeouts are not enforced inline (there is no one to do the
-  killing); retries still apply.  Tests assert that inline and
-  parallel runs produce identical verdicts and bounds.
+  ``timeout`` applies as the same time-budget clamp (nothing can kill
+  a job that ignores it); retries still apply.  Tests assert that
+  inline and parallel runs produce identical verdicts and bounds.
 * **Cache short-circuit.**  With a :class:`ResultCache`, each job's
-  key is looked up before any process is spawned; hits come back
+  key is looked up before anything is submitted; hits come back
   ``cached=True`` and only misses are scheduled.  Completed ``ok``
   results are stored as they arrive, so even an interrupted batch
   warms the cache.
-
-The start method prefers ``fork`` (cheap, no pickling of the worker
-callable) and falls back to the platform default where fork is
-unavailable; custom ``worker`` callables must be module-level (or
-otherwise picklable) to support the fallback.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import queue
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..errors import WorkerDied
+from ..errors import JobRaised
 from ..obs import events, trace
 from . import transport
 from .cache import ResultCache
@@ -56,9 +53,7 @@ from .job import (
     execute_job,
 )
 from .journal import BatchJournal
-
-#: Grace period for ``join()`` after ``terminate()`` before escalating.
-_KILL_GRACE_S = 5.0
+from .pool import WorkerSupervisor
 
 
 @dataclass
@@ -145,37 +140,6 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _context():
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-def _worker_main(job_conn, conn,
-                 worker: Callable[[AnalysisJob], JobResult]) -> None:
-    """Child-process entry: receive the job, run it, ship the outcome.
-
-    The job arrives over its own pipe through the transport envelope
-    (large source text rides the zero-copy lanes) instead of being
-    pickled into the ``Process`` args -- submission and results share
-    one wire format whatever the start method.
-    """
-    try:
-        try:
-            job = transport.recv_job(job_conn)
-        finally:
-            job_conn.close()
-        result = worker(job)
-        transport.send_payload(conn, ("ok", result))
-    except BaseException:
-        try:
-            transport.send_payload(conn, ("raised", traceback.format_exc()))
-        except (OSError, ValueError):
-            pass
-    finally:
-        conn.close()
-
-
 def _timeout_result(job: AnalysisJob, timeout: float, attempt: int) -> JobResult:
     return JobResult(key=job.key(), label=job.label, domain=job.domain,
                      outcome=OUTCOME_TIMEOUT, seconds=float(timeout),
@@ -186,19 +150,6 @@ def _timeout_result(job: AnalysisJob, timeout: float, attempt: int) -> JobResult
 def _error_result(job: AnalysisJob, message: str, attempt: int) -> JobResult:
     return JobResult(key=job.key(), label=job.label, domain=job.domain,
                      outcome=OUTCOME_ERROR, attempts=attempt, error=message)
-
-
-@dataclass
-class _Running:
-    proc: object
-    idx: int
-    attempt: int
-    deadline: Optional[float]
-    started: float = field(default_factory=time.monotonic)
-    #: ``perf_counter`` at launch, for the job's trace span.  On Linux
-    #: ``perf_counter`` is CLOCK_MONOTONIC, one epoch per boot, so this
-    #: is directly comparable with timestamps the forked worker records.
-    perf_started: float = field(default_factory=time.perf_counter)
 
 
 def _trace_job(job: AnalysisJob, result: JobResult,
@@ -234,8 +185,10 @@ def run_batch(
     """Run ``jobs`` through the service; one result per job, in order.
 
     ``workers=None`` uses :func:`default_workers` (``os.cpu_count()``),
-    capped at the number of jobs.  ``retries`` is the number of *extra*
-    attempts granted after a worker raises or dies; timeouts are final.
+    capped at the number of jobs.  ``timeout`` is per attempt, counted
+    from dispatch.  ``retries`` is the number of *extra* attempts
+    granted after a job raises or its worker dies; timeouts are final.
+    ``worker`` runs each job (in the pool's processes, or inline).
 
     With a ``journal``, every finished job is appended durably as it
     completes.  ``resume=True`` first serves jobs already journalled by
@@ -285,12 +238,13 @@ def run_batch(
     with trace.span("batch", jobs=len(jobs), workers=workers):
         try:
             if workers == 1:
-                _run_inline(jobs, pending, results, retries=retries,
-                            cache=cache, journal=journal, worker=worker)
-            else:
-                _run_pool(jobs, pending, results, workers=workers,
-                          timeout=timeout, retries=retries, cache=cache,
-                          journal=journal, worker=worker)
+                _run_inline(jobs, pending, results, timeout=timeout,
+                            retries=retries, cache=cache, journal=journal,
+                            worker=worker)
+            elif pending:
+                _run_on_pool(jobs, pending, results, workers=workers,
+                             timeout=timeout, retries=retries, cache=cache,
+                             journal=journal, worker=worker)
         finally:
             if journal is not None:
                 journal.close()
@@ -309,16 +263,32 @@ def run_batch(
     return batch
 
 
-def _store(cache: Optional[ResultCache], journal: Optional[BatchJournal],
-           job: AnalysisJob, result: JobResult) -> None:
-    """Persist one finished job: cache (``ok`` only) + journal (all)."""
+def _finish(jobs, results, idx: int, result: JobResult, started: float, *,
+            timeout, cache, journal) -> None:
+    """Record one finished job: trace lane, event, result slot, store."""
+    job = jobs[idx]
+    if timeout is not None:
+        # The clamped budget entered the computed key; the result
+        # belongs to the job as submitted (an ``ok`` answer under a
+        # tighter budget is identical to the unclamped one).
+        result.key = job.key()
+    _trace_job(job, result, started, time.perf_counter())
+    if result.outcome == OUTCOME_TIMEOUT:
+        events.warning("job_timeout", label=job.label, timeout=timeout,
+                       attempts=result.attempts)
+    elif result.outcome == OUTCOME_ERROR:
+        events.error("job_failed", label=job.label, attempts=result.attempts,
+                     error=(result.error or "").strip().rsplit("\n", 1)[-1])
+    events.info("job_done", label=job.label, outcome=result.outcome,
+                attempts=result.attempts, seconds=round(result.seconds, 6))
+    results[idx] = result
     if cache is not None and result.outcome == OUTCOME_OK:
         cache.put(job.key(), result)
     if journal is not None:
         journal.record(result)
 
 
-def _run_inline(jobs, pending, results, *, retries, cache, journal,
+def _run_inline(jobs, pending, results, *, timeout, retries, cache, journal,
                 worker) -> None:
     """``workers=1``: execute in the calling process, no fork."""
     for idx in pending:
@@ -328,7 +298,9 @@ def _run_inline(jobs, pending, results, *, retries, cache, journal,
         started = time.perf_counter()
         while True:
             try:
-                result = worker(job)
+                # The same clamp the pool applies at dispatch.
+                result = worker(job.with_deadline(
+                    None if timeout is None else time.monotonic() + timeout))
                 result.attempts = attempt
                 break
             except Exception:
@@ -339,130 +311,46 @@ def _run_inline(jobs, pending, results, *, retries, cache, journal,
                     continue
                 result = _error_result(job, traceback.format_exc(), attempt)
                 break
-        _trace_job(job, result, started, time.perf_counter())
-        events.info("job_done", label=job.label, outcome=result.outcome,
-                    attempts=result.attempts,
-                    seconds=round(result.seconds, 6))
-        results[idx] = result
-        _store(cache, journal, job, result)
+        _finish(jobs, results, idx, result, started, timeout=timeout,
+                cache=cache, journal=journal)
 
 
-def _run_pool(jobs, pending, results, *, workers, timeout, retries, cache,
-              journal, worker) -> None:
-    """Bounded process fan-out with per-job deadlines."""
-    ctx = _context()
-    queue = [(idx, 1) for idx in pending]  # (job index, attempt number)
-    queue.reverse()  # pop() from the end keeps input order
-    running: Dict[object, _Running] = {}  # recv conn -> bookkeeping
-
-    def launch(idx: int, attempt: int) -> None:
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        job_recv, job_send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_worker_main,
-                           args=(job_recv, send_conn, worker), daemon=True)
-        events.debug("job_start", label=jobs[idx].label, attempt=attempt)
-        proc.start()
-        send_conn.close()
-        job_recv.close()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        running[recv_conn] = _Running(proc, idx, attempt, deadline)
-        try:
-            transport.send_job(job_send, jobs[idx], worker_pid=proc.pid)
-        except (BrokenPipeError, OSError):
-            # The worker died before reading its job; the sentinel path
-            # reaps it and applies the normal retry policy.
-            pass
-        finally:
-            job_send.close()
-
-    def reap(conn, entry: _Running, result: JobResult) -> None:
-        entry.proc.join()
-        conn.close()
-        del running[conn]
-        _trace_job(jobs[entry.idx], result, entry.perf_started,
-                   time.perf_counter())
-        if result.outcome == OUTCOME_TIMEOUT:
-            events.warning("job_timeout", label=jobs[entry.idx].label,
-                           timeout=timeout, attempts=result.attempts)
-        events.info("job_done", label=jobs[entry.idx].label,
-                    outcome=result.outcome, attempts=result.attempts,
-                    seconds=round(result.seconds, 6))
-        results[entry.idx] = result
-        _store(cache, journal, jobs[entry.idx], result)
-
-    def retry_or_fail(conn, entry: _Running, message: str) -> None:
-        entry.proc.join()
-        conn.close()
-        del running[conn]
-        # A worker that died inside the send window may have created its
-        # shared-memory segment without the parent ever attaching it.
-        transport.sweep_worker(entry.proc.pid)
-        if entry.attempt <= retries:
-            events.warning("job_retry", label=jobs[entry.idx].label,
-                           attempt=entry.attempt + 1,
-                           error=message.strip().splitlines()[-1]
-                           if message.strip() else message)
-            queue.append((entry.idx, entry.attempt + 1))
-        else:
-            result = _error_result(jobs[entry.idx], message, entry.attempt)
-            _trace_job(jobs[entry.idx], result, entry.perf_started,
-                       time.perf_counter())
-            events.error("job_failed", label=jobs[entry.idx].label,
-                         attempts=entry.attempt,
-                         error=message.strip().splitlines()[-1]
-                         if message.strip() else message)
-            results[entry.idx] = result
-            _store(cache, journal, jobs[entry.idx], result)
-
-    while queue or running:
-        while queue and len(running) < workers:
-            idx, attempt = queue.pop()
-            launch(idx, attempt)
-
-        deadlines = [r.deadline for r in running.values()
-                     if r.deadline is not None]
-        wait_for = None
-        if deadlines:
-            wait_for = max(0.0, min(deadlines) - time.monotonic())
-        watch = []
-        for conn, entry in running.items():
-            watch.append(conn)
-            watch.append(entry.proc.sentinel)
-        ready = set(mp_connection.wait(watch, timeout=wait_for))
-
-        now = time.monotonic()
-        for conn, entry in list(running.items()):
-            expired = entry.deadline is not None and now >= entry.deadline
-            signalled = conn in ready or entry.proc.sentinel in ready
-            if not (signalled or expired):
-                continue
-            if conn.poll():
-                # The worker reported before exiting (possibly right at
-                # the deadline -- a delivered result beats a timeout).
-                try:
-                    message, arena = transport.recv_payload(conn)
-                    status, payload = message
-                except EOFError:
-                    entry.proc.join()
-                    retry_or_fail(conn, entry,
-                                  str(WorkerDied(entry.proc.exitcode)))
-                    continue
-                if status == "ok":
-                    payload.attempts = entry.attempt
-                    payload.shm_arena = arena
-                    reap(conn, entry, payload)
-                else:  # the worker raised; retry, then report the traceback
-                    retry_or_fail(conn, entry, payload)
-            elif not entry.proc.is_alive():
-                retry_or_fail(
-                    conn, entry,
-                    str(WorkerDied(entry.proc.exitcode, stage="mid-job")))
-            elif expired:
-                entry.proc.terminate()
-                entry.proc.join(_KILL_GRACE_S)
-                if entry.proc.is_alive():
-                    entry.proc.kill()
-                    entry.proc.join()
-                transport.sweep_worker(entry.proc.pid)
-                reap(conn, entry,
-                     _timeout_result(jobs[entry.idx], timeout, entry.attempt))
+def _run_on_pool(jobs, pending, results, *, workers, timeout, retries, cache,
+                 journal, worker) -> None:
+    """``workers > 1``: submit everything to a supervised pool built for
+    this batch, then record results in the order they arrive."""
+    # The batch process never computes a job: the breaker (which would
+    # turn worker failures into in-process runs) cannot trip, and a
+    # job whose workers keep dying fails on its own retry budget.
+    pool = WorkerSupervisor(min(workers, len(pending)), retries=retries,
+                            breaker_threshold=sys.maxsize, worker=worker)
+    arrived: "queue.SimpleQueue" = queue.SimpleQueue()
+    try:
+        pool.start()
+        tickets = {}
+        for idx in pending:
+            events.debug("job_start", label=jobs[idx].label, attempt=1)
+            tickets[pool.submit(jobs[idx], timeout=timeout,
+                                on_done=arrived.put)] = idx
+        for _ in range(len(tickets)):
+            ticket = arrived.get()
+            idx = tickets[ticket]
+            job, attempts = jobs[idx], max(1, ticket.attempts)
+            if ticket.result is not None:
+                result = ticket.result
+                result.attempts = attempts
+                result.shm_arena = ticket.arena
+            elif ticket.fallback == "expired":
+                result = _timeout_result(job, timeout, attempts)
+            elif isinstance(ticket.error, JobRaised):
+                result = _error_result(job, ticket.error.traceback, attempts)
+            elif ticket.error is not None:
+                result = _error_result(job, str(ticket.error), attempts)
+            else:
+                result = _error_result(
+                    job, f"worker pool unavailable ({ticket.fallback})",
+                    attempts)
+            _finish(jobs, results, idx, result, ticket.dispatched,
+                    timeout=timeout, cache=cache, journal=journal)
+    finally:
+        pool.shutdown()

@@ -1,7 +1,8 @@
-"""Zero-copy result transport for the batch scheduler's worker pipes.
+"""Zero-copy transport for the worker pool's pipes.
 
-The scheduler's workers used to ship results with default-protocol
-``Connection.send`` pickling: every DBM a job kept crossed the pipe as
+Pool workers (:mod:`repro.service.pool`) used to ship results with
+default-protocol ``Connection.send`` pickling: every DBM a job kept
+crossed the pipe as
 an in-band copy inside the pickle stream, then again into the parent's
 deserialised object -- two full copies of data that is pure
 ``float64`` and already contiguous.  This module replaces that with a
@@ -26,8 +27,8 @@ Shared-memory lifetime protocol (POSIX semantics):
 1. The worker creates the segment under the deterministic name
    ``repro_shm_<parent pid>_<worker pid>`` and immediately
    *unregisters* it from its own ``resource_tracker`` -- otherwise the
-   tracker would unlink the segment when the (short-lived) worker
-   exits, racing the parent's attach.
+   tracker would unlink the segment when the worker exits, racing the
+   parent's attach.
 2. The parent attaches, then unlinks the name **immediately**: an
    attached POSIX mapping survives the unlink, so the arrays stay
    valid for as long as the parent holds the :class:`ShmArena`, while
@@ -166,7 +167,7 @@ class ShmArena:
     """Keeps a consumed result's shared-memory mapping alive.
 
     The unpickled arrays are views into the segment, so the arena must
-    outlive every array it backs; the scheduler parks it on the
+    outlive every array it backs; the pool parks it on the
     :class:`~repro.service.job.JobResult` it transported.  ``release``
     drops the views and closes the mapping; it tolerates the
     ``BufferError`` CPython raises when someone still holds a view
@@ -306,12 +307,11 @@ def wrap_job(job, ctx=None) -> tuple:
     Large source text is wrapped in a :class:`_Blob` so it rides the
     zero-copy buffer lanes instead of the pickle body; small jobs pass
     through untouched.  ``ctx`` (a :class:`~repro.obs.trace.TraceContext`
-    or ``None``) rides as a trailing envelope element so the serve
-    supervisor's trace identity crosses the pipe with the job it
-    belongs to.  The wrapped form is opaque -- feed it to
-    :func:`unwrap_job`/:func:`unwrap_job_ctx` (or embed it in a larger
-    payload shipped with :func:`send_payload`, as the serve supervisor
-    does).
+    or ``None``) rides as a trailing envelope element so the
+    submitter's trace identity crosses the pipe with the job it belongs
+    to.  The wrapped form is opaque: the worker pool embeds it in its
+    job message, ships that with :func:`send_payload`, and the worker
+    decodes it with :func:`unwrap_job_ctx`.
     """
     source = getattr(job, "source", None)
     if isinstance(source, str) and len(source) >= JOB_BLOB_THRESHOLD:
@@ -322,11 +322,6 @@ def wrap_job(job, ctx=None) -> tuple:
     if ctx is not None:
         envelope = envelope + (ctx,)
     return envelope
-
-
-def unwrap_job(payload: tuple):
-    """Reconstitute a job from its :func:`wrap_job` envelope."""
-    return unwrap_job_ctx(payload)[0]
 
 
 def unwrap_job_ctx(payload: tuple):
@@ -342,32 +337,6 @@ def unwrap_job_ctx(payload: tuple):
                                     source=blob.bytes().decode("utf-8")),
                 ctx)
     return payload[1], (payload[2] if len(payload) > 2 else None)
-
-
-def send_job(conn, job, *, worker_pid: int,
-             parent_pid: Optional[int] = None) -> None:
-    """Submit ``job`` to a worker over its job pipe (parent side).
-
-    Large source text is wrapped in a :class:`_Blob` so submission
-    shares the zero-copy buffer lanes with results; the segment name is
-    the ``_job``-suffixed twin of the result segment, keyed on the
-    *submitting* process (which under a ``spawn`` start method is not
-    the worker's ``getppid`` view of the world -- hence explicit pids).
-    """
-    send_payload(conn, wrap_job(job),
-                 segment=job_segment_name(parent_pid or os.getpid(),
-                                          worker_pid),
-                 count_prefix="job_")
-
-
-def recv_job(conn):
-    """Receive one submitted job (worker side of the job pipe)."""
-    payload, arena = recv_payload(conn, count=False)
-    try:
-        return unwrap_job(payload)
-    finally:
-        if arena is not None:
-            arena.release()
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +420,7 @@ def sweep_worker(worker_pid: Optional[int],
                  parent_pid: Optional[int] = None) -> bool:
     """Reclaim the segment of one dead/killed worker, if it left one.
 
-    Called by the scheduler whenever a worker dies without delivering a
+    Called by the pool whenever a worker dies without delivering a
     result (kill, timeout, crash): the worker may have created its
     result segment and been killed inside the send window, or died
     before attaching the submission segment the parent created for it.

@@ -29,7 +29,7 @@ import pytest
 
 from repro.obs import events
 from repro.serve import AnalysisServer, ServeClient, ServeError, wait_ready
-from repro.serve.supervisor import WorkerSupervisor
+from repro.service.pool import WorkerSupervisor
 from repro.service.job import AnalysisJob, execute_job
 from repro.testing import faults
 
